@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test lint check coverage bench bench-scaling bench-service \
-  bench-pricing bench-tune bench-check profile profile-service report \
+  bench-pricing bench-tune bench-check perfbench profile profile-service report \
   artifacts examples faults-smoke service-smoke pricing-smoke tune-smoke clean
 
 install:
@@ -86,9 +86,19 @@ bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --check
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_tune.py --check
 
+# The repository benchmark (BENCHMARK.json): end-to-end metrics of the
+# four workloads, one fresh run each; the JSON verdict is the last line
+# of each run's output. Run it on the parent commit too to compare.
+perfbench:
+	@for w in paper-sweep large-dag waas-steady tune-spot; do \
+	  echo "== $$w"; \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	done
+
 # cProfile one representative sweep cell plus the 50k columnar fused
 # pipeline; top-25 cumulative entries go to artifacts/profile*.txt for
-# before/after comparisons.
+# before/after comparisons. A profile shows where one cell spends its
+# time; judge a speedup end to end with `make perfbench`.
 profile:
 	mkdir -p artifacts
 	PYTHONPATH=src $(PYTHON) benchmarks/profile_cell.py --out artifacts/profile.txt

@@ -49,6 +49,7 @@ INSTANCE_TYPES: Dict[str, InstanceType] = {
     t.name: t for t in (SMALL, MEDIUM, LARGE, XLARGE)
 }
 _BY_SHORT = {t.short: t for t in INSTANCE_TYPES.values()}
+_LADDER = tuple(sorted(INSTANCE_TYPES.values()))  # upgrade ladder, slowest first
 
 
 def instance_type(name: str) -> InstanceType:
@@ -79,7 +80,7 @@ def value_ratio(itype: InstanceType) -> float:
 
 def faster_types(itype: InstanceType) -> List[InstanceType]:
     """Catalog types strictly faster than *itype*, slowest first."""
-    return [t for t in sorted(INSTANCE_TYPES.values()) if t.speedup > itype.speedup]
+    return [t for t in _LADDER if t.speedup > itype.speedup]
 
 
 def next_faster(itype: InstanceType) -> InstanceType | None:

@@ -19,7 +19,7 @@ from repro.cloud.instance import SMALL, InstanceType, next_faster
 from repro.cloud.platform import CloudPlatform
 from repro.cloud.region import Region
 from repro.core.allocation.base import SchedulingAlgorithm, register_algorithm
-from repro.core.allocation.upgrade import one_vm_schedule, total_rent_cost
+from repro.core.allocation.upgrade import one_vm_schedule, per_task_vm_cost, try_upgrade
 from repro.core.schedule import Schedule
 from repro.errors import SchedulingError
 from repro.workflows.dag import Workflow
@@ -47,21 +47,21 @@ class CpaEagerScheduler(SchedulingAlgorithm):
         region: Region | None = None,
     ) -> Schedule:
         workflow.validate()
-        start_type = itype
+        reg = region or platform.default_region
         task_types: Dict[str, InstanceType] = {
-            tid: start_type for tid in workflow.task_ids
+            tid: itype for tid in workflow.task_ids
         }
-        budget = self.budget_factor * total_rent_cost(
-            workflow, platform, task_types, region
-        )
+        # per-task runtime and rent, kept current as single tasks upgrade
+        runtime = {
+            tid: platform.runtime(workflow.task(tid), itype) for tid in task_types
+        }
+        costs = per_task_vm_cost(workflow, platform, task_types, reg)
+        budget = self.budget_factor * sum(costs.values())
         blocked: Set[str] = set()
 
         while True:
-            current = one_vm_schedule(workflow, platform, task_types, region)
             cp, _length = workflow.critical_path(
-                exec_time=lambda t: platform.runtime(
-                    workflow.task(t), task_types[t]
-                ),
+                exec_time=runtime.__getitem__,
                 transfer_time=lambda u, v: platform.transfer_time(
                     workflow.data_gb(u, v), task_types[u], task_types[v]
                 ),
@@ -73,22 +73,19 @@ class CpaEagerScheduler(SchedulingAlgorithm):
             ]
             if not candidates:
                 break
-            target = max(
-                candidates,
-                key=lambda t: (platform.runtime(workflow.task(t), task_types[t]), t),
-            )
+            target = max(candidates, key=lambda t: (runtime[t], t))
             upgraded = next_faster(task_types[target])
             assert upgraded is not None
-            trial = dict(task_types)
-            trial[target] = upgraded
-            if total_rent_cost(workflow, platform, trial, region) <= budget + 1e-9:
-                task_types = trial
+            exec_new = platform.runtime(workflow.task(target), upgraded)
+            cost_new = platform.billing.vm_cost(exec_new, upgraded, reg)
+            if try_upgrade(costs, target, cost_new, budget):
+                task_types[target] = upgraded
+                runtime[target] = exec_new
             else:
                 # Costs are additive per task under OneVMperTask and other
                 # upgrades only spend more, so an unaffordable task stays
                 # unaffordable: block it permanently.
                 blocked.add(target)
-            del current  # rebuilt next iteration
 
         return one_vm_schedule(
             workflow, platform, task_types, region, algorithm=self.name

@@ -7,13 +7,13 @@ and instance types as columns,
 
 pick the (task, type) cell with the greatest gain, upgrade that task's
 VM, and repeat while the total rent stays within ``budget_factor`` times
-the reference cost.  The default budget is 2x: the paper's budget
-sentence is garbled, but its results section pins both dynamic SAs'
-cost loss inside [45, 100]%, which only a 2x cap reproduces (see
-DESIGN.md).  An upgrade
-that strictly saves money (``cost_new <= cost_current``, possible when a
-shorter runtime drops a whole BTU) is treated as infinite gain and taken
-first.
+the reference cost; only the changed row is re-priced per iteration.
+The default budget is 2x: the paper's budget sentence is garbled, but
+its results section pins both dynamic SAs' cost loss inside [45, 100]%,
+which only a 2x cap reproduces (see DESIGN.md).  An upgrade that
+strictly saves money (``cost_new <= cost_current``, possible when a
+shorter runtime drops a whole BTU) is treated as infinite gain and
+taken first.
 """
 
 from __future__ import annotations
@@ -25,10 +25,13 @@ from repro.cloud.instance import SMALL, InstanceType, faster_types
 from repro.cloud.platform import CloudPlatform
 from repro.cloud.region import Region
 from repro.core.allocation.base import SchedulingAlgorithm, register_algorithm
-from repro.core.allocation.upgrade import one_vm_schedule, total_rent_cost
+from repro.core.allocation.upgrade import one_vm_schedule, per_task_vm_cost, try_upgrade
 from repro.core.schedule import Schedule
 from repro.errors import SchedulingError
 from repro.workflows.dag import Workflow
+
+#: a row's best upgrade: (gain, new type, rent on the new type)
+Cell = Tuple[float, InstanceType, float]
 
 
 @register_algorithm
@@ -41,42 +44,6 @@ class GainScheduler(SchedulingAlgorithm):
             raise SchedulingError(f"budget_factor must be >= 1, got {budget_factor}")
         self.budget_factor = budget_factor
 
-    def _best_cell(
-        self,
-        workflow: Workflow,
-        platform: CloudPlatform,
-        region: Region,
-        task_types: Dict[str, InstanceType],
-        blocked: Set[Tuple[str, str]],
-    ) -> Tuple[str, InstanceType] | None:
-        """The (task, new type) upgrade with the largest gain, or None."""
-        billing = platform.billing
-        best: Tuple[float, str, InstanceType] | None = None
-        for tid, cur in task_types.items():
-            task = workflow.task(tid)
-            exec_cur = platform.runtime(task, cur)
-            cost_cur = billing.vm_cost(exec_cur, cur, region)
-            for new in faster_types(cur):
-                if (tid, new.name) in blocked:
-                    continue
-                exec_new = platform.runtime(task, new)
-                cost_new = billing.vm_cost(exec_new, new, region)
-                dexec = exec_cur - exec_new
-                dcost = cost_new - cost_cur
-                gain = math.inf if dcost <= 1e-12 else dexec / dcost
-                if gain <= 0:
-                    continue
-                # Deterministic tie-break: higher gain, then task id, then
-                # slower new type (cheapest sufficient upgrade).
-                key = (gain, tid, new)
-                if best is None or gain > best[0] or (
-                    gain == best[0] and (tid, new.speedup) < (best[1], best[2].speedup)
-                ):
-                    best = (gain, tid, new)
-        if best is None:
-            return None
-        return best[1], best[2]
-
     def schedule(
         self,
         workflow: Workflow,
@@ -87,27 +54,48 @@ class GainScheduler(SchedulingAlgorithm):
     ) -> Schedule:
         workflow.validate()
         reg = region or platform.default_region
+        billing = platform.billing
         task_types: Dict[str, InstanceType] = {
             tid: itype for tid in workflow.task_ids
         }
-        budget = self.budget_factor * total_rent_cost(
-            workflow, platform, task_types, reg
-        )
+        costs = per_task_vm_cost(workflow, platform, task_types, reg)
+        budget = self.budget_factor * sum(costs.values())
         blocked: Set[Tuple[str, str]] = set()
 
+        def row_best(tid: str) -> Cell | None:
+            """*tid*'s best cell: greatest gain, then the slower new type
+            (cheapest sufficient upgrade); None if no cell gains."""
+            task, cur = workflow.task(tid), task_types[tid]
+            exec_cur = platform.runtime(task, cur)
+            best: Cell | None = None
+            for new in faster_types(cur):
+                if (tid, new.name) in blocked:
+                    continue
+                exec_new = platform.runtime(task, new)
+                cost_new = billing.vm_cost(exec_new, new, reg)
+                dcost = cost_new - costs[tid]
+                gain = math.inf if dcost <= 1e-12 else (exec_cur - exec_new) / dcost
+                # the ladder climbs in speed: the first maximum is the slower type
+                if gain > 0 and (best is None or gain > best[0]):
+                    best = (gain, new, cost_new)
+            return best
+
+        # Cells are strictly ordered by (gain desc, task id asc, speedup
+        # asc), so the best of the cached row bests is the matrix's best.
+        rows = {tid: row_best(tid) for tid in task_types}
         while True:
-            cell = self._best_cell(workflow, platform, reg, task_types, blocked)
-            if cell is None:
+            best = min(
+                ((-c[0], tid, c) for tid, c in rows.items() if c is not None),
+                default=None,
+            )
+            if best is None:
                 break
-            tid, new_type = cell
-            trial = dict(task_types)
-            trial[tid] = new_type
-            if total_rent_cost(workflow, platform, trial, reg) <= budget + 1e-9:
-                task_types = trial
-                # Upgrading re-opens the task's previously-blocked faster
-                # cells? No: costs only grow, so keep them blocked.
+            _, tid, (_gain, new_type, cost_new) = best
+            if try_upgrade(costs, tid, cost_new, budget):
+                task_types[tid] = new_type
             else:
                 blocked.add((tid, new_type.name))
+            rows[tid] = row_best(tid)  # the only row that changed
 
         return one_vm_schedule(
             workflow, platform, task_types, reg, algorithm=self.name

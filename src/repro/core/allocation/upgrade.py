@@ -68,3 +68,16 @@ def total_rent_cost(
 ) -> float:
     """Sum of :func:`per_task_vm_cost` over all tasks."""
     return sum(per_task_vm_cost(workflow, platform, task_types, region).values())
+
+
+def try_upgrade(costs: Dict[str, float], tid: str, cost: float, budget: float) -> bool:
+    """Give *tid* the rent *cost* in *costs* if the total stays within
+    *budget*, else leave *costs* unchanged.  *costs* stays in
+    ``task_ids`` order, so the sum adds the same floats, in the same
+    order, as :func:`total_rent_cost` over the trial map."""
+    old = costs[tid]
+    costs[tid] = cost
+    if sum(costs.values()) <= budget + 1e-9:
+        return True
+    costs[tid] = old
+    return False

@@ -10,6 +10,7 @@ and how to price itself (BTU rent + banded cross-region egress).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from repro.cloud.platform import CloudPlatform
@@ -88,9 +89,9 @@ class Schedule:
         return self.algorithm or self.provisioning or "schedule"
 
     # ------------------------------------------------------------------
-    # metrics
+    # metrics (makespan and costs are cached: the placements are final)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def makespan(self) -> float:
         """Finish of the last task (workflows are released at t=0)."""
         return max(p.end for vm in self.vms for p in vm.placements)
@@ -104,7 +105,7 @@ class Schedule:
         billing = self.platform.billing
         return sum(billing.btus(vm.uptime_seconds) for vm in self.vms)
 
-    @property
+    @cached_property
     def rent_cost(self) -> float:
         billing = self.platform.billing
         return sum(vm.cost(billing) for vm in self.vms)
@@ -132,7 +133,7 @@ class Schedule:
                 out.append((src.region.name, dst.region.name, gb))
         return out
 
-    @property
+    @cached_property
     def transfer_cost(self) -> float:
         """Banded egress cost over the schedule's cross-region volume.
 
@@ -150,7 +151,7 @@ class Schedule:
             totals[src_name] = already + gb
         return cost
 
-    @property
+    @cached_property
     def total_cost(self) -> float:
         return self.rent_cost + self.transfer_cost
 

@@ -9,6 +9,7 @@ from repro.core.allocation.gain import GainScheduler
 from repro.core.allocation.upgrade import one_vm_schedule, total_rent_cost
 from repro.core.baseline import reference_schedule
 from repro.errors import SchedulingError
+from repro.obs.metrics import MetricsRegistry
 from repro.workflows.generators import montage, sequential
 
 
@@ -73,6 +74,14 @@ class TestDynamicCommon:
 
     def test_validates(self, scheduler_cls, platform, paper_workflow):
         scheduler_cls().schedule(paper_workflow, platform).validate()
+
+    def test_rents_one_vm_per_task_once(self, scheduler_cls, platform, paper_workflow):
+        """The upgrade loop prices configurations without building them:
+        only the final schedule rents VMs, one per task."""
+        with MetricsRegistry().activate() as metrics:
+            scheduler_cls().schedule(paper_workflow, platform)
+        assert metrics.get("builder.vms_rented") == len(paper_workflow)
+        assert metrics.get("builder.tasks_placed") == len(paper_workflow)
 
 
 class TestCpaEager:

@@ -142,3 +142,60 @@ class TestCrossRegionTransferCost:
         # first GB free, remaining 4 at $0.12
         assert sched.transfer_cost == pytest.approx(4 * 0.12)
         assert sched.total_cost == pytest.approx(sched.rent_cost + 0.48)
+
+
+class TestAccountingMemo:
+    """makespan/rent/transfer/total cost are computed once per schedule."""
+
+    MEMOIZED = ("makespan", "rent_cost", "transfer_cost", "total_cost")
+
+    @staticmethod
+    def _cross_region(platform):
+        wf = Workflow("xfer")
+        wf.add_task(Task("src", 100.0))
+        wf.add_task(Task("dst", 100.0))
+        wf.add_dependency("src", "dst", 5.0)
+        wf.validate()
+        v0 = VM(id=0, itype=platform.itype("small"),
+                region=platform.region("us-east-virginia"))
+        v0.place("src", 0.0, 100.0)
+        v1 = VM(id=1, itype=platform.itype("medium"),
+                region=platform.region("eu-dublin"))
+        v1.place("dst", 140.5, 62.5)
+        return Schedule(workflow=wf, platform=platform, vms=[v0, v1])
+
+    def test_memo_equals_fresh_recomputation(self, platform):
+        sched = self._cross_region(platform)
+        first = [getattr(sched, name) for name in self.MEMOIZED]
+        assert all(name in vars(sched) for name in self.MEMOIZED)
+        # a schedule over the same VMs starts with an empty memo
+        fresh = Schedule(workflow=sched.workflow, platform=platform, vms=sched.vms)
+        assert not any(name in vars(fresh) for name in self.MEMOIZED)
+        assert [getattr(fresh, name) for name in self.MEMOIZED] == first
+        billing = platform.billing
+        assert sched.makespan == max(p.end for vm in sched.vms for p in vm.placements)
+        assert sched.rent_cost == sum(vm.cost(billing) for vm in sched.vms)
+        assert sched.total_cost == sched.rent_cost + sched.transfer_cost
+        assert sched.transfer_cost > 0
+
+    def test_memo_survives_pickle(self, platform):
+        import pickle
+
+        sched = self._cross_region(platform)
+        values = [getattr(sched, name) for name in self.MEMOIZED]
+        restored = pickle.loads(pickle.dumps(sched))
+        assert all(name in vars(restored) for name in self.MEMOIZED)
+        assert [getattr(restored, name) for name in self.MEMOIZED] == values
+
+    def test_replace_and_eq_ignore_memo(self, platform):
+        import dataclasses
+
+        sched = self._cross_region(platform)
+        untouched = dataclasses.replace(sched)
+        assert sched.total_cost > 0  # fills sched's memo only
+        relabeled = dataclasses.replace(sched, algorithm="x")
+        assert not any(name in vars(relabeled) for name in self.MEMOIZED)
+        assert relabeled.total_cost == sched.total_cost
+        assert untouched == sched
+        assert "total_cost" not in vars(untouched)
+        assert relabeled != sched
