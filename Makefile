@@ -92,7 +92,7 @@ bench-check:
 perfbench:
 	@for w in paper-sweep large-dag waas-steady tune-spot; do \
 	  echo "== $$w"; \
-	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+	  $(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
 	done
 
 # cProfile one representative sweep cell plus the 50k columnar fused

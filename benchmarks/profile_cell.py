@@ -1,7 +1,8 @@
 """Profile one representative sweep cell under cProfile.
 
 Runs the full evaluation of a single (scenario, workflow) grid cell —
-the unit ``run_sweep`` fans out — and writes the top *N* functions by
+the unit ``run_sweep`` fans out, with the schedule verify the
+benchmark's paper sweep runs — and writes the top *N* functions by
 cumulative time to a text report (``make profile`` puts it at
 ``artifacts/profile.txt``).  Use it to find the next hot spot before
 and to prove the fix after an optimization PR.
@@ -54,6 +55,7 @@ def build_cell(scenario_index: int, workflow_index: int, seed: int) -> SweepCell
         strategies=paper_strategies(),
         platform=platform,
         seed=child,
+        verify=True,
     )
 
 

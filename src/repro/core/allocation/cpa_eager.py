@@ -13,7 +13,7 @@ see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Set, Tuple
 
 from repro.cloud.instance import SMALL, InstanceType, next_faster
 from repro.cloud.platform import CloudPlatform
@@ -58,13 +58,18 @@ class CpaEagerScheduler(SchedulingAlgorithm):
         costs = per_task_vm_cost(workflow, platform, task_types, reg)
         budget = self.budget_factor * sum(costs.values())
         blocked: Set[str] = set()
+        # per-edge transfer time, kept current as single tasks upgrade:
+        # an upgrade only re-prices the upgraded task's own edges
+        data_gb = workflow.data_gb
+        transfer: Dict[Tuple[str, str], float] = {
+            (u, v): platform.transfer_time(gb, task_types[u], task_types[v])
+            for u, v, gb in workflow.edges()
+        }
 
         while True:
             cp, _length = workflow.critical_path(
                 exec_time=runtime.__getitem__,
-                transfer_time=lambda u, v: platform.transfer_time(
-                    workflow.data_gb(u, v), task_types[u], task_types[v]
-                ),
+                transfer_time=lambda u, v: transfer[u, v],
             )
             candidates = [
                 t
@@ -81,6 +86,14 @@ class CpaEagerScheduler(SchedulingAlgorithm):
             if try_upgrade(costs, target, cost_new, budget):
                 task_types[target] = upgraded
                 runtime[target] = exec_new
+                for u in workflow.predecessors(target):
+                    transfer[u, target] = platform.transfer_time(
+                        data_gb(u, target), task_types[u], upgraded
+                    )
+                for v in workflow.successors(target):
+                    transfer[target, v] = platform.transfer_time(
+                        data_gb(target, v), upgraded, task_types[v]
+                    )
             else:
                 # Costs are additive per task under OneVMperTask and other
                 # upgrades only spend more, so an unaffordable task stays

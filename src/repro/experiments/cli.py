@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="replay every schedule through the discrete-event simulator",
+        help="replay every schedule and check it against its plan "
+        "(no-fault replay with the discrete-event simulator's timings)",
     )
     parser.add_argument(
         "--workflow",

@@ -48,6 +48,7 @@ from repro.core.metrics import ScheduleMetrics, compare_to_reference
 from repro.errors import ExperimentError
 from repro.experiments.config import StrategySpec
 from repro.experiments.scenarios import Scenario
+from repro.kernels.replay import replay_verify
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.executor import simulate_schedule
@@ -453,7 +454,7 @@ def run_cell(cell: SweepCell) -> CellResult:
         rng = np.random.default_rng(cell.seed)
         concrete = cell.scenario.apply(cell.shape, rng)
         ref = reference_schedule(concrete, cell.platform)
-        if cell.verify:
+        if cell.verify and not replay_verify(ref):
             simulate_schedule(ref, check=True)
         reference = compare_to_reference(ref, ref, label=REFERENCE_LABEL)
         row: Dict[str, ScheduleMetrics] = {}

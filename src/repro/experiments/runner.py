@@ -29,6 +29,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.result import ResultBase
 from repro.experiments.scenarios import Scenario, paper_scenarios
+from repro.kernels.replay import replay_verify
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, ensure_tracer
 from repro.simulator.executor import simulate_schedule
@@ -47,19 +48,18 @@ def run_strategy(
 ) -> ScheduleMetrics:
     """Run one strategy on one concrete workflow instance.
 
-    With *verify*, the schedule is also replayed through the DES and its
-    timings checked against the static plan (the replay feeds *tracer*
-    with its simulated-time task/VM spans when one is given).
+    With *verify*, the schedule is also replayed and its timings checked
+    against the static plan; under an enabled *tracer* the replay runs
+    through the DES, which feeds the tracer its simulated-time task/VM
+    spans.
     """
     sched = spec.run(workflow, platform)
     sched.validate()
     if verify:
-        # Large homogeneous no-fault plans verify by recurrence replay —
-        # the same observed timings the DES would produce, minus the
-        # event machinery.  Anything the replay does not model (tracing,
-        # metrics, cold boots, mixed fleets) takes the real simulator.
-        from repro.kernels.replay import replay_verify
-
+        # No-fault plans verify by recurrence replay — the same observed
+        # timings the DES would produce, minus the event machinery.
+        # Tracing, an active metrics registry and platform markets take
+        # the real simulator.
         if not replay_verify(sched, tracer=tracer):
             simulate_schedule(sched, check=True, tracer=tracer)
     ref = reference if reference is not None else reference_schedule(workflow, platform)

@@ -47,6 +47,7 @@ class ColumnarDAG:
         "pred_ptr",
         "pred_idx",
         "pred_gb",
+        "pred_dst",
         "succ_ptr",
         "succ_idx",
         "succ_gb",
@@ -82,6 +83,8 @@ class ColumnarDAG:
         # consumer observes: every successor sweep is a max/indegree
         # fold, and each (child, gb) pairing is preserved per edge.
         dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.pred_ptr))
+        #: the child of each predecessor-CSR edge
+        self.pred_dst = dst
         by_src = np.argsort(self.pred_idx, kind="stable")
         self.succ_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.pred_idx, minlength=n), out=self.succ_ptr[1:])

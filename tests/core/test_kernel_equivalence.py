@@ -271,15 +271,11 @@ def test_run_sweep_metrics_identical_columnar_vs_indexed():
 @pytest.mark.parametrize("shape,seed", _dag_cases())
 def test_replay_verify_matches_des(shape, seed, platform):
     """The recurrence replay accepts exactly what the DES accepts."""
-    from repro.kernels.dispatch import force_columnar
     from repro.kernels.replay import replay_verify
     from repro.simulator.executor import simulate_schedule
 
-    with force_columnar():
-        s = HeftScheduler("StartParNotExceed").schedule(
-            SHAPES[shape](seed), platform
-        )
-        assert replay_verify(s)
+    s = HeftScheduler("StartParNotExceed").schedule(SHAPES[shape](seed), platform)
+    assert replay_verify(s)
     simulate_schedule(s, check=True)
 
 
@@ -287,36 +283,42 @@ def test_replay_verify_catches_divergence(platform):
     """A plan whose timings cannot be realized must raise with the
     DES-identical message shape, not silently pass."""
     from repro.errors import SimulationError
-    from repro.kernels.dispatch import force_columnar
     from repro.kernels.replay import replay_verify
+    from repro.simulator.executor import simulate_schedule
 
-    with force_columnar():
-        s = HeftScheduler("StartParExceed").schedule(_wide(7), platform)
-        # push one non-entry task's planned window later than its
-        # dependencies allow: the replayed start diverges from the plan
-        victim = next(
-            p
-            for vm in s.vms
-            for p in vm.placements
-            if s.workflow.predecessors(p.task_id)
-        )
-        object.__setattr__(victim, "start", victim.start + 123.0)
-        object.__setattr__(victim, "end", victim.end + 123.0)
-        with pytest.raises(SimulationError, match="simulated start"):
-            replay_verify(s)
+    s = HeftScheduler("StartParExceed").schedule(_wide(7), platform)
+    # push one non-entry task's planned window later than its
+    # dependencies allow: the replayed start diverges from the plan
+    victim = next(
+        p for vm in s.vms for p in vm.placements if s.workflow.predecessors(p.task_id)
+    )
+    object.__setattr__(victim, "start", victim.start + 123.0)
+    object.__setattr__(victim, "end", victim.end + 123.0)
+    with pytest.raises(SimulationError, match="simulated start"):
+        replay_verify(s)
+    with pytest.raises(SimulationError, match="simulated start"):
+        simulate_schedule(s, check=True)
 
 
 def test_replay_verify_defers_ineligible_cases(platform):
     """Anything outside the recurrence's model returns False (real DES
     takes over) instead of guessing."""
-    from repro.kernels.dispatch import force_columnar
     from repro.kernels.replay import replay_verify
+    from repro.market import ON_DEMAND, ConstantPrice, Market
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracer import Tracer
 
-    with force_columnar():
-        s = HeftScheduler("StartParExceed").schedule(_wide(1), platform)
-        with MetricsRegistry().activate():
-            # an active registry expects the DES's sim.* counters
-            assert not replay_verify(s)
-    # below the columnar threshold (no force): the DES is cheap anyway
-    assert not replay_verify(s)
+    s = HeftScheduler("StartParExceed").schedule(_wide(1), platform)
+    with MetricsRegistry().activate():
+        # an active registry expects the DES's sim.* counters
+        assert not replay_verify(s)
+    # an enabled tracer expects the DES's spans
+    assert not replay_verify(s, tracer=Tracer())
+    # even a neutral market prices through the DES's fault machinery
+    neutral = platform.with_market(Market(ConstantPrice(1.0), purchase=ON_DEMAND))
+    assert not replay_verify(
+        HeftScheduler("StartParExceed").schedule(_wide(1), neutral)
+    )
+    # the replay does not follow the columnar size rule: a small plan
+    # replays
+    assert replay_verify(s)
